@@ -283,7 +283,21 @@ class SecurityHygieneConfig:
 
 #: Backend names accepted by :class:`ExecutionConfig`.  ``auto`` resolves
 #: to ``serial`` for one worker and ``process`` otherwise.
-EXECUTION_BACKENDS = ("auto", "serial", "thread", "process", "async")
+EXECUTION_BACKENDS = ("auto", "serial", "process")
+
+
+def check_backend(name: str) -> str:
+    """``name`` if it is a known backend, else the typed error naming them.
+
+    The one backend-name validation the config, the run options, and
+    :func:`~repro.runtime.get_backend` share.
+    """
+    if name not in EXECUTION_BACKENDS:
+        raise ConfigError(
+            f"unknown execution backend {name!r}; "
+            f"expected one of {', '.join(EXECUTION_BACKENDS)}"
+        )
+    return name
 
 
 @dataclasses.dataclass(frozen=True)
@@ -320,9 +334,11 @@ class ExecutionConfig:
     dataset.
 
     Attributes:
-        backend: ``auto``, ``serial``, ``thread``, ``process``, or
-            ``async``.
-        workers: Worker count for the parallel backends.
+        backend: ``serial`` (shards run in this process), ``process``
+            (shards run on a process pool), or ``auto`` (``serial`` for
+            one worker, ``process`` otherwise).
+        workers: Worker count; with ``serial`` it still sizes the shard
+            plan, with ``process`` it also sizes the pool.
         shard_size: Upper bound on ``weeks × domains`` cells per shard;
             ``0`` picks one shard per worker.
         max_shard_retries: Re-dispatch attempts per failed shard.
@@ -346,11 +362,7 @@ class ExecutionConfig:
     plan_from: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.backend not in EXECUTION_BACKENDS:
-            raise ConfigError(
-                f"unknown execution backend {self.backend!r}; "
-                f"expected one of {', '.join(EXECUTION_BACKENDS)}"
-            )
+        check_backend(self.backend)
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
         if self.shard_size < 0:

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 import zlib
 from array import array
@@ -48,6 +47,7 @@ from pathlib import Path
 from typing import Dict, List, Union
 
 from ..errors import StoreError
+from ..runtime.ledger import atomic_write_bytes
 from ..timeline import StudyCalendar
 from ..vulndb import MatchMode, VersionMatcher, default_database
 from .store import _COLUMN_FIELDS, _SCALAR_FIELDS, ObservationStore
@@ -707,26 +707,16 @@ def store_from_bytes(
 # ----------------------------------------------------------------------
 # Files
 # ----------------------------------------------------------------------
-def _atomic_write_bytes(path: Path, data: bytes) -> None:
-    """Durable write: same-directory temp file, fsync, atomic rename."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-
-
 def save_store(store: ObservationStore, path: Union[str, Path]) -> None:
     """Write a store to ``path`` as a canonical format-v2 binary blob.
 
     Equal stores — e.g. a serial crawl and a merged sharded crawl,
     whose intern orders differ — produce byte-identical files.  The
-    write is crash-safe (temp file + fsync + atomic rename), and the
-    blob carries a sha256 trailer that :func:`load_store` verifies.
+    write is crash-safe and durable (the run ledger's
+    :func:`~repro.runtime.ledger.atomic_write_bytes`), and the blob
+    carries a sha256 trailer that :func:`load_store` verifies.
     """
-    _atomic_write_bytes(Path(path), store_to_bytes(store))
+    atomic_write_bytes(path, store_to_bytes(store))
 
 
 def export_store_json(store: ObservationStore, path: Union[str, Path]) -> None:
@@ -745,7 +735,7 @@ def export_store_json(store: ObservationStore, path: Union[str, Path]) -> None:
         },
         sort_keys=True,
     )
-    _atomic_write_bytes(Path(path), document.encode("utf-8"))
+    atomic_write_bytes(path, document.encode("utf-8"))
 
 
 def load_store(

@@ -30,7 +30,7 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Tuple, Union
 
-from .config import EXECUTION_BACKENDS, ScenarioConfig
+from .config import EXECUTION_BACKENDS, ScenarioConfig, check_backend
 from .errors import ConfigError
 from .runtime.faults import FaultPlan
 
@@ -98,8 +98,8 @@ class ExecutionOptions:
         None,
         "--backend",
         choices=EXECUTION_BACKENDS,
-        help="execution backend for sharded crawls (auto = process "
-        "when workers > 1)",
+        help="where shards run: 'serial' in this process, 'process' on "
+        "a pool of --workers processes (auto = process when workers > 1)",
     )
     shard_size: Optional[int] = opt(
         None,
@@ -128,11 +128,8 @@ class ExecutionOptions:
     def __post_init__(self) -> None:
         if self.workers is not None and self.workers < 1:
             raise ConfigError("workers must be >= 1")
-        if self.backend is not None and self.backend not in EXECUTION_BACKENDS:
-            raise ConfigError(
-                f"unknown execution backend {self.backend!r}; "
-                f"expected one of {', '.join(EXECUTION_BACKENDS)}"
-            )
+        if self.backend is not None:
+            check_backend(self.backend)
         if self.shard_size is not None and self.shard_size < 0:
             raise ConfigError("shard_size must be >= 0 (0 = auto)")
         if self.plan_from is not None:
@@ -288,41 +285,12 @@ class RunOptions:
         default_factory=ObservabilityOptions
     )
 
-    def non_default_fields(self) -> Tuple[str, ...]:
-        """Dotted names of every field set away from its default.
-
-        Powers the mixing-forms ``ConfigError``: when a caller passes
-        both ``options=`` and legacy keywords, the error names exactly
-        which fields each form tried to set.
-        """
-        names = []
-        for attr, option_cls, _, _ in OPTION_GROUPS:
-            group = getattr(self, attr)
-            defaults = option_cls()
-            for field in dataclasses.fields(option_cls):
-                if getattr(group, field.name) != getattr(defaults, field.name):
-                    names.append(f"{attr}.{field.name}")
-        return tuple(names)
-
-    @classmethod
-    def from_kwargs(cls, **kwargs) -> "RunOptions":
-        """Build options from the legacy flat ``Study`` keyword names."""
-        groups = {}
-        for attr, option_cls, _, _ in OPTION_GROUPS:
-            names = {field.name for field in dataclasses.fields(option_cls)}
-            taken = {name: kwargs.pop(name) for name in list(kwargs) if name in names}
-            groups[attr] = option_cls(**taken)
-        if kwargs:
-            unknown = ", ".join(sorted(kwargs))
-            raise ConfigError(f"unknown run option(s): {unknown}")
-        return cls(**groups)
-
     # ------------------------------------------------------------------
     def apply_to(self, config: ScenarioConfig) -> ScenarioConfig:
         """The scenario config with these options' overrides applied.
 
         Only non-``None`` fields override; everything else inherits from
-        ``config``, exactly as the legacy keyword arguments did.
+        ``config``.
         """
         overrides = {}
         if self.execution.workers is not None:
@@ -531,7 +499,8 @@ class OrchestratorOptions:
         None,
         "--backend",
         choices=EXECUTION_BACKENDS,
-        help="execution backend for the crawl jobs",
+        help="where each crawl job's shards run: 'serial' in the job's "
+        "process, 'process' on a pool (auto = process when workers > 1)",
     )
     workers: Optional[int] = opt(
         None,
@@ -666,7 +635,8 @@ class SweepOptions:
         None,
         "--backend",
         choices=EXECUTION_BACKENDS,
-        help="execution backend for the per-point crawl jobs",
+        help="where each point's crawl shards run: 'serial' in the job's "
+        "process, 'process' on a pool (auto = process when workers > 1)",
     )
     workers: Optional[int] = opt(
         None,

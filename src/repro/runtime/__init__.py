@@ -1,9 +1,9 @@
-"""Execution runtime: shard planning, pluggable backends, chaos, dispatch.
+"""Execution runtime: shard planning, backends, chaos, dispatch.
 
 The crawl pipeline scales by partitioning the ``weeks × domains`` space
 into balanced, non-overlapping shards (:mod:`.sharding`), executing each
-shard as a self-contained task (:mod:`.worker`) on a serial, thread,
-process, or asyncio backend (:mod:`.backends`), and merging the partial
+shard as a self-contained task (:mod:`.worker`) either in this process
+or on a process pool (:mod:`.backends`), and merging the partial
 observation stores exactly
 (:meth:`~repro.crawler.ObservationStore.merge`).  Shard plans are
 uniform by default; :class:`CostModel` turns a previous run's canonical
@@ -32,11 +32,9 @@ and stores per (seed, plan).
 """
 
 from .backends import (
-    AsyncBackend,
     ExecutionBackend,
     ProcessBackend,
     SerialBackend,
-    ThreadBackend,
     describe_backend,
     get_backend,
 )
@@ -69,9 +67,7 @@ from .worker import (
 __all__ = [
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadBackend",
     "ProcessBackend",
-    "AsyncBackend",
     "describe_backend",
     "get_backend",
     "Shard",

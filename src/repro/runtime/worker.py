@@ -5,7 +5,7 @@ slice of the crawl from scratch — the scenario config (ecosystems are
 deterministic functions of it), the crawl mode, the shard's week
 ordinals and domain names, and the vulnerability database.  That makes
 the task picklable, so the same :func:`execute_shard` function serves
-the serial, thread, and process backends unchanged.
+the serial and process backends unchanged.
 
 Results travel back as the persistence layer's binary store codec
 (:func:`~repro.crawler.persistence.store_to_bytes`) plus the shard's
@@ -16,11 +16,11 @@ twice over: pickling one ``bytes`` object across the process boundary
 is far cheaper than a deep dict of per-week counters, and the blob is
 already the exact frame the run ledger journals.
 
-Ecosystem construction is the expensive part, so each worker thread or
-process keeps a small cache keyed by (thread, config): consecutive
-shards of the same study reuse one ecosystem.  Threads never share an
-ecosystem — ``set_week`` mutates the virtual network, so sharing across
-threads would race.
+Ecosystem construction is the expensive part, so each worker process
+keeps a small cache keyed by (thread, config): consecutive shards of the
+same study reuse one ecosystem.  Threads never share an ecosystem —
+``set_week`` mutates the virtual network, so sharing across threads
+would race.
 """
 
 from __future__ import annotations

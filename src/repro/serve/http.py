@@ -109,14 +109,6 @@ def run_server(options) -> int:
             file=sys.stderr,
         )
         return 2
-    host, port = server.server_address[:2]
-    print(
-        f"repro-serve: {len(app.store.observed_domains):,} domains x "
-        f"{len(app.calendar.weeks)} weeks, "
-        f"{len(app._hot):,} hot aggregates precomputed; "
-        f"listening on http://{host}:{port}/",
-        file=sys.stderr,
-    )
     # Graceful shutdown on SIGTERM (the signal process managers send):
     # stop accepting, drain in-flight requests, close the socket, exit
     # 0 — same path Ctrl-C takes.  ``server.shutdown`` blocks until the
@@ -129,7 +121,18 @@ def run_server(options) -> int:
             threading.Thread(target=server.shutdown, daemon=True).start()
 
         previous = signal.signal(signal.SIGTERM, _terminate)
+    # The banner is the readiness signal supervisors wait for, so it is
+    # printed only once SIGTERM is handled: a SIGTERM sent on seeing it
+    # always drains (``shutdown`` before ``serve_forever`` still works).
+    host, port = server.server_address[:2]
     try:
+        print(
+            f"repro-serve: {len(app.store.observed_domains):,} domains x "
+            f"{len(app.calendar.weeks)} weeks, "
+            f"{len(app._hot):,} hot aggregates precomputed; "
+            f"listening on http://{host}:{port}/",
+            file=sys.stderr,
+        )
         server.serve_forever()
     except KeyboardInterrupt:
         pass

@@ -256,3 +256,47 @@ class TestServeShutdown:
         assert code == 0
         remainder = proc.stderr.read()
         assert "SIGTERM received, draining" in remainder
+
+    def test_sigterm_handler_is_installed_before_the_banner(
+        self, tmp_path, monkeypatch
+    ):
+        """The banner is the readiness signal: once a supervisor sees
+        it, a SIGTERM must already be handled (drained), not fatal."""
+        import io
+        import signal
+        from http.server import ThreadingHTTPServer
+
+        from repro import ScenarioConfig, Study
+        from repro.crawler.persistence import save_store
+        from repro.options import ServeOptions
+        from repro.serve.http import run_server
+
+        study = Study(ScenarioConfig(population=20, seed=5))
+        study.run(weeks=study.config.calendar.weeks[:2])
+        store_path = tmp_path / "store.bin"
+        save_store(study.store, store_path)
+
+        calls = []
+        real_signal = signal.signal
+
+        def recording_signal(signum, handler):
+            if signum == signal.SIGTERM and not calls:
+                calls.append("install SIGTERM handler")
+            return real_signal(signum, handler)
+
+        class RecordingStderr(io.StringIO):
+            def write(self, text):
+                if "listening on" in text:
+                    calls.append("banner")
+                return super().write(text)
+
+        monkeypatch.setattr(signal, "signal", recording_signal)
+        monkeypatch.setattr(sys, "stderr", RecordingStderr())
+        monkeypatch.setattr(
+            ThreadingHTTPServer,
+            "serve_forever",
+            lambda self, poll_interval=0.5: calls.append("serve_forever"),
+        )
+        options = ServeOptions(store=str(store_path), port=0)
+        assert run_server(options) == 0
+        assert calls == ["install SIGTERM handler", "banner", "serve_forever"]

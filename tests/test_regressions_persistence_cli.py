@@ -155,13 +155,13 @@ class TestCli:
                 "--workers",
                 "2",
                 "--backend",
-                "thread",
+                "serial",
             ]
         )
         assert code == 0
         captured = capsys.readouterr()
         assert "x 6 weeks" in captured.err
-        assert "thread backend, 2 workers" in captured.err
+        assert "serial backend, 2 workers" in captured.err
         assert " in " in captured.err and "s (" in captured.err  # timing
 
     def test_run_invalid_weeks(self, capsys):
@@ -184,7 +184,7 @@ class TestCli:
                 "--workers",
                 "2",
                 "--backend",
-                "thread",
+                "serial",
                 "--fault-plan",
                 "seed=1,crash=1.0",
                 "--max-shard-retries",

@@ -118,11 +118,10 @@ def test_journal_overhead_under_ten_percent(tmp_path):
     expected = ledger._load_manifest().coverage_keys()
     entries = []
     for entry_file in sorted((run_dir / "journal").glob("shard-*.wal")):
-        entry = ledger._validate_entry(entry_file, expected)
+        entry = ledger.read_entry(entry_file, expected)
         assert entry is not None, f"journaled entry failed validation: {entry_file}"
-        entries.append(
-            (entry["shard_index"], entry["shard_key"], entry["payload"])
-        )
+        index, payload = entry
+        entries.append((index, expected[index], payload))
     assert len(entries) == report.shards_reexecuted
 
     journal_times = []

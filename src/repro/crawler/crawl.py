@@ -671,11 +671,7 @@ class Crawler:
             get_backend,
         )
         from ..runtime.worker import shard_coverage_key
-        from .persistence import (
-            BINARY_FORMAT_VERSION,
-            store_from_bytes,
-            store_from_dict,
-        )
+        from .persistence import BINARY_FORMAT_VERSION, store_from_bytes
 
         # Workers rebuild their crawler from the config, so explicit
         # incremental overrides must travel inside it.
@@ -779,17 +775,9 @@ class Crawler:
         with ins.span("fold"):
             for index in sorted(payload_by_index):
                 payload = payload_by_index[index]
-                blob = payload["store"]
-                if isinstance(blob, (bytes, bytearray)):
-                    partial = store_from_bytes(
-                        bytes(blob), self.store.calendar, self.store.matcher
-                    )
-                else:
-                    # Dict payloads still fold — tests and external
-                    # tooling may synthesize them via store_to_dict.
-                    partial = store_from_dict(
-                        blob, self.store.calendar, self.store.matcher
-                    )
+                partial = store_from_bytes(
+                    payload["store"], self.store.calendar, self.store.matcher
+                )
                 self.store.merge(partial)
                 ins.merge(Instruments.from_payload(payload["metrics"]))
 

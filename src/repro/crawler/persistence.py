@@ -47,7 +47,7 @@ from pathlib import Path
 from typing import Dict, List, Union
 
 from ..errors import StoreError
-from ..runtime.ledger import atomic_write_bytes
+from ..runtime.durable import atomic_write_bytes
 from ..timeline import StudyCalendar
 from ..vulndb import MatchMode, VersionMatcher, default_database
 from .store import _COLUMN_FIELDS, _SCALAR_FIELDS, ObservationStore
@@ -712,8 +712,8 @@ def save_store(store: ObservationStore, path: Union[str, Path]) -> None:
 
     Equal stores — e.g. a serial crawl and a merged sharded crawl,
     whose intern orders differ — produce byte-identical files.  The
-    write is crash-safe and durable (the run ledger's
-    :func:`~repro.runtime.ledger.atomic_write_bytes`), and the blob
+    write is crash-safe and durable
+    (:func:`~repro.runtime.durable.atomic_write_bytes`), and the blob
     carries a sha256 trailer that :func:`load_store` verifies.
     """
     atomic_write_bytes(path, store_to_bytes(store))

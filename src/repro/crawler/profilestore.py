@@ -21,10 +21,10 @@ layout designed to keep the runtime determinism contract intact:
   instrumentation, so substituting a store hit for a rebuild changes no
   canonical counter except the ``profile_store.*`` pair introduced
   here.  Full mode keeps its in-run cache untouched.
-* **Checksummed, atomically written entries.**  Each entry is one file
-  (JSON header line + sha256-checksummed pickle body) finalized by the
-  ledger's fsync + rename primitive; a torn or bit-flipped entry is
-  treated as a miss, never trusted.
+* **Checksummed, atomically written entries.**  Each entry is one
+  :mod:`~repro.runtime.durable` record: a header naming the store format
+  and the content address, over a pickled profile body.  A torn or
+  bit-flipped entry is treated as a miss, never trusted.
 
 The content-address covers everything a manifest-mode profile is a pure
 function of: the domain's constant identity (name, rank) plus the
@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Optional, Sequence, Tuple, Union
 
 from ..fingerprint import PageProfile
-from ..runtime.ledger import atomic_write_bytes
+from ..runtime.durable import atomic_write_bytes, encode_record, read_record
 from .cache import SiteStateKey
 
 #: Version of the generation-directory schema.  A generation whose
@@ -167,22 +167,11 @@ class ProfileStore:
 
     @staticmethod
     def _read_entry(path: Path, digest: str) -> Optional[PageProfile]:
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        head, sep, body = raw.partition(b"\n")
-        if not sep:
-            return None
-        try:
-            header = json.loads(head.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return None
+        header, body = read_record(path)
         if (
-            not isinstance(header, dict)
+            body is None
             or header.get("format") != PROFILE_STORE_FORMAT
             or header.get("digest") != digest
-            or header.get("sha256") != hashlib.sha256(body).hexdigest()
         ):
             return None
         try:
@@ -223,16 +212,8 @@ class ProfileStore:
         path = self.write_dir / self._entry_name(digest)
         if path.exists():
             return
-        body = pickle.dumps(profile)
-        header = json.dumps(
-            {
-                "format": PROFILE_STORE_FORMAT,
-                "digest": digest,
-                "sha256": hashlib.sha256(body).hexdigest(),
-            },
-            sort_keys=True,
-        )
-        atomic_write_bytes(path, header.encode("utf-8") + b"\n" + body)
+        header = {"format": PROFILE_STORE_FORMAT, "digest": digest}
+        atomic_write_bytes(path, encode_record(header, pickle.dumps(profile)))
 
     # ------------------------------------------------------------------
     def record(self, instruments) -> None:

@@ -232,7 +232,7 @@ class Orchestrator:
     def write_fleet_metrics(self) -> Path:
         path = self.queue.root / FLEET_METRICS_NAME
         document = fleet_metrics(self.queue, self.plan)
-        from ..runtime.ledger import atomic_write_bytes
+        from ..runtime.durable import atomic_write_bytes
 
         atomic_write_bytes(
             path,

@@ -5,13 +5,12 @@ Reuses the PR-4 ledger idioms at job granularity:
 * a **versioned queue manifest** (``queue.json``) pinning the fleet plan
   (see :class:`~repro.orchestrator.jobs.FleetPlan`) — re-opening with a
   different plan is refused;
-* **per-job write-ahead records** (``jobs/<job>.rec``): one JSON header
-  line carrying the critical scalars (state, attempt) and a sha256 over
-  the body, then the canonical-JSON body.  Every state transition is one
-  :func:`~repro.runtime.ledger.atomic_write_bytes` (temp file, fsync,
-  rename, directory fsync), so a reader — including a resumed
-  orchestrator — sees either the previous record or the complete next
-  one;
+* **per-job write-ahead records** (``jobs/<job>.rec``): one
+  :mod:`~repro.runtime.durable` record each, whose header carries the
+  critical scalars (job, state, attempt) and whose body is the record's
+  canonical JSON.  Every state transition is one atomic durable write,
+  so a reader — including a resumed orchestrator — sees either the
+  previous record or the complete next one;
 * **quarantine, never trust**: a record that fails validation is moved
   to ``quarantine/`` and rebuilt from its header scalars plus the job's
   ``DONE.json`` artifact manifest (written write-ahead of the ``done``
@@ -49,13 +48,18 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..errors import QueueError
 from ..runtime.faults import FaultPlan
-from ..runtime.ledger import atomic_write_bytes
+from ..runtime.durable import (
+    atomic_write_bytes,
+    encode_record,
+    quarantine,
+    read_record,
+    sweep_temp_files,
+)
 from .jobs import FleetPlan
 
 #: Version of the job-record schema.
@@ -240,7 +244,7 @@ class JobQueue:
         self.dead_letter_dir.mkdir(parents=True, exist_ok=True)
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
         self.chaos_dir.mkdir(parents=True, exist_ok=True)
-        self._sweep_temp_files()
+        sweep_temp_files(self.jobs_dir, self.root)
         self.plan = plan
 
         resumed = self.manifest_path.exists()
@@ -313,36 +317,40 @@ class JobQueue:
         recovery re-runs work rather than trusting damaged bytes.
         """
         path = self.record_path(job_id)
-        try:
-            raw = path.read_bytes()
-        except OSError:
+        if not path.exists():
             return None, 0
-        head, sep, body = raw.partition(b"\n")
-        header: Optional[dict]
-        try:
-            header = json.loads(head.decode("utf-8"))
-            if not isinstance(header, dict):
-                header = None
-        except (UnicodeDecodeError, ValueError):
-            header = None
-        if header is not None and sep and (
-            header.get("format") == RECORD_FORMAT
-            and header.get("job_id") == job_id
-            and header.get("sha256") == hashlib.sha256(body).hexdigest()
-        ):
-            try:
-                parsed = json.loads(body.decode("utf-8"))
-                record = JobRecord.from_body(parsed)
-                if record.job_id == job_id and record.state in JOB_STATES:
-                    return record, 0
-            except (UnicodeDecodeError, ValueError, KeyError, TypeError):
-                pass
+        header, record = self._valid_record(job_id)
+        if record is not None:
+            return record, 0
         # Invalid: quarantine the bytes, rebuild from what provably
         # survived.
-        self._quarantine_file(path)
+        quarantine(path, self.quarantine_dir)
         rebuilt = self._rebuild_record(job_id, header)
         self._write_record(rebuilt, allow_tear=False)
         return rebuilt, 1
+
+    def _valid_record(
+        self, job_id: str
+    ) -> Tuple[Optional[dict], Optional[JobRecord]]:
+        """``(header, record)`` of one job's record file, read-only.
+
+        The record is ``None`` unless the file is an intact record of
+        this format and of this job; the header is whatever survived.
+        """
+        header, body = read_record(self.record_path(job_id))
+        if (
+            body is None
+            or header.get("format") != RECORD_FORMAT
+            or header.get("job_id") != job_id
+        ):
+            return header, None
+        try:
+            record = JobRecord.from_body(json.loads(body.decode("utf-8")))
+        except (UnicodeDecodeError, ValueError, KeyError, TypeError):
+            return header, None
+        if record.job_id != job_id or record.state not in JOB_STATES:
+            return header, None
+        return header, record
 
     def _rebuild_record(
         self, job_id: str, header: Optional[dict]
@@ -352,19 +360,16 @@ class JobQueue:
         if not isinstance(attempt, int) or attempt < 0:
             attempt = 0
         record = JobRecord(job_id=job_id, attempt=attempt)
-        if state == DONE or self.read_done_manifest(job_id) is not None:
-            done = self.read_done_manifest(job_id)
-            if done is not None:
-                record.state = DONE
-                record.attempt = done["attempt"]
-                return record
-            # A done header without a valid DONE.json cannot be
-            # trusted; fall through to re-execution.
-            state = PENDING
-        if state in (FAILED, DEAD_LETTER, SKIPPED, BLOCKED):
+        done = self.read_done_manifest(job_id)
+        if done is not None:
+            record.state = DONE
+            record.attempt = done["attempt"]
+        elif state in (FAILED, DEAD_LETTER, SKIPPED, BLOCKED):
             record.state = state
             record.error = "(recovered from torn record)"
         else:
+            # Includes a done header without a valid DONE.json: that
+            # completion cannot be trusted, so the job re-executes.
             record.state = PENDING
         return record
 
@@ -373,20 +378,17 @@ class JobQueue:
     # ------------------------------------------------------------------
     def _write_record(self, record: JobRecord, allow_tear: bool = True) -> None:
         body = json.dumps(record.to_body(), sort_keys=True).encode("utf-8")
-        header = json.dumps(
-            {
-                "format": RECORD_FORMAT,
-                "job_id": record.job_id,
-                "state": record.state,
-                "attempt": record.attempt,
-                "sha256": hashlib.sha256(body).hexdigest(),
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-        data = header + b"\n" + body
+        header = {
+            "format": RECORD_FORMAT,
+            "job_id": record.job_id,
+            "state": record.state,
+            "attempt": record.attempt,
+        }
+        data = encode_record(header, body)
         if allow_tear and self._should_tear(record):
-            # The modeled failure: header committed, body half-written.
-            data = header + b"\n" + body[: max(1, len(body) // 2)]
+            # The modeled failure: header committed (its checksum over
+            # the full body), body half-written.
+            data = data[: len(data) - len(body) + max(1, len(body) // 2)]
         atomic_write_bytes(self.record_path(record.job_id), data)
 
     def _should_tear(self, record: JobRecord) -> bool:
@@ -406,22 +408,6 @@ class JobQueue:
             return False
         atomic_write_bytes(marker, b"torn\n")
         return True
-
-    def _quarantine_file(self, path: Path) -> None:
-        target = self.quarantine_dir / path.name
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = self.quarantine_dir / f"{path.name}.{suffix}"
-        os.replace(path, target)
-
-    def _sweep_temp_files(self) -> None:
-        for directory in (self.jobs_dir, self.root):
-            for tmp in directory.glob(".*.tmp"):
-                try:
-                    tmp.unlink()
-                except OSError:  # pragma: no cover - raced removal
-                    pass
 
     # ------------------------------------------------------------------
     # State transitions
@@ -587,28 +573,17 @@ class JobQueue:
     def load_records(self, plan: FleetPlan) -> List[JobRecord]:
         """Current records in plan order, without repairing anything.
 
-        Unreadable records surface as pending placeholders with an
-        ``error`` naming the damage — status must never crash on a
+        Records are validated exactly as :meth:`open` validates them;
+        an invalid one surfaces as a pending placeholder whose ``error``
+        reads ``unreadable record`` — status must never crash on a
         half-written queue.
         """
         records: List[JobRecord] = []
         for spec in plan.jobs:
-            path = self.record_path(spec.job_id)
-            try:
-                raw = path.read_bytes()
-                head, _, body = raw.partition(b"\n")
-                header = json.loads(head.decode("utf-8"))
-                if header.get("sha256") != hashlib.sha256(body).hexdigest():
-                    raise ValueError("checksum mismatch")
-                records.append(
-                    JobRecord.from_body(json.loads(body.decode("utf-8")))
+            _, record = self._valid_record(spec.job_id)
+            if record is None:
+                record = JobRecord(
+                    job_id=spec.job_id, state=PENDING, error="unreadable record"
                 )
-            except Exception as exc:  # noqa: BLE001 - diagnostic path
-                records.append(
-                    JobRecord(
-                        job_id=spec.job_id,
-                        state=PENDING,
-                        error=f"unreadable record ({type(exc).__name__})",
-                    )
-                )
+            records.append(record)
         return records

@@ -10,7 +10,7 @@ uniform by default; :class:`CostModel` turns a previous run's canonical
 metrics into a weighted plan (``--plan-from``) that balances estimated
 cost instead of cell count.
 
-Robustness lives in two layers added on top:
+Robustness lives in the layers added on top:
 
 * :mod:`.faults` — a seeded :class:`FaultPlan` injects worker crashes,
   shard timeouts, and transport surges at backend-independent points,
@@ -22,7 +22,10 @@ Robustness lives in two layers added on top:
   :class:`RunLedger` keeps a versioned run manifest plus a per-shard
   write-ahead journal (checksummed, fsync'd, atomically renamed), so a
   killed run resumes by replaying completed shards and re-executing only
-  the missing ones, byte-identically to an uninterrupted run.
+  the missing ones, byte-identically to an uninterrupted run;
+* :mod:`.durable` — the one durable-record primitive under the journal,
+  the orchestrator's job queue and the cross-run profile store: atomic
+  writes, the checksummed record frame, quarantine and temp sweep.
 
 Determinism guarantee: for a given scenario seed, every backend and
 every worker count produce bit-identical aggregates — parallelism is an
@@ -44,18 +47,12 @@ from .dispatch import (
     DispatchResult,
     ShardFailure,
     SimulatedClock,
-    WallClock,
     backoff_delay,
     dispatch_shards,
 )
+from .durable import atomic_write_bytes
 from .faults import FaultPlan
-from .ledger import (
-    JournalingRunner,
-    LedgerScan,
-    RunLedger,
-    RunManifest,
-    atomic_write_bytes,
-)
+from .ledger import JournalingRunner, LedgerScan, RunLedger, RunManifest
 from .sharding import CostModel, Shard, plan_shards
 from .worker import (
     ShardTask,
@@ -84,7 +81,6 @@ __all__ = [
     "JournalingRunner",
     "atomic_write_bytes",
     "SimulatedClock",
-    "WallClock",
     "DispatchResult",
     "ShardFailure",
     "dispatch_shards",

@@ -28,7 +28,6 @@ backoff totals on every backend.
 from __future__ import annotations
 
 import dataclasses
-import time
 from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ShardExecutionError
@@ -56,17 +55,6 @@ class SimulatedClock:
     def sleep(self, seconds: float) -> None:
         self.now += seconds
         self.sleeps.append(seconds)
-
-
-class WallClock:
-    """Real backoff for live runs; never used by the test suite."""
-
-    def __init__(self) -> None:
-        self.now = 0.0
-
-    def sleep(self, seconds: float) -> None:  # pragma: no cover - real sleep
-        time.sleep(seconds)
-        self.now += seconds
 
 
 def backoff_delay(attempt: int) -> float:

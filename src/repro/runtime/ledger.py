@@ -18,15 +18,14 @@ This module makes whole-process death survivable:
   entries are **quarantined** into ``quarantine/`` and their shards
   re-executed rather than silently trusted.
 
-Each journal entry is one JSON header line (format version, shard
-index, coverage key, sha256) followed by the format-3 body: a u32
-length prefix, the shard store's canonical binary blob (format v2,
-already zlib-sectioned — see :mod:`repro.crawler.persistence`), and
-the zlib-compressed canonical JSON of the remaining payload fields
-("metrics", counters).  The checksum covers the body bytes exactly as
-they sit on disk, so verification needs no re-serialization, and the
-store blob is journaled verbatim — no re-encode on either side of the
-write-ahead boundary.
+Each journal entry is one :mod:`~repro.runtime.durable` record: the
+shared checksummed frame, written by the shared atomic write.  The
+ledger owns only the header's identity fields (format version, shard
+index, coverage key) and the format-3 body codec: a u32 length prefix,
+the shard store's canonical binary blob (format v2, already
+zlib-sectioned — see :mod:`repro.crawler.persistence`) journaled
+verbatim, and the zlib-compressed canonical JSON of the remaining
+payload fields ("metrics", counters).
 
 Run-directory layout::
 
@@ -53,7 +52,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import pickle
 import struct
 import time
@@ -68,6 +66,13 @@ from ..config import (
     ScenarioConfig,
 )
 from ..errors import CheckpointError, CheckpointMismatchError
+from .durable import (
+    atomic_write_bytes,
+    encode_record,
+    quarantine,
+    read_record,
+    sweep_temp_files,
+)
 from .sharding import Shard
 from .worker import ShardTask, execute_shard_safely, shard_coverage_key
 
@@ -95,39 +100,6 @@ JOURNAL_COMPRESSION = 1
 
 #: u32 length prefix framing the store blob inside a format-3 body.
 _STORE_LEN = struct.Struct("<I")
-
-
-# ----------------------------------------------------------------------
-# Durable file primitives
-# ----------------------------------------------------------------------
-def atomic_write_bytes(path: Path, data: bytes) -> int:
-    """Write ``data`` to ``path`` durably: temp file, fsync, atomic rename.
-
-    A reader (including a resumed run) can never observe a torn write:
-    either the old file, or the complete new one.  The containing
-    directory is fsync'd after the rename so the *name* survives a crash
-    too (best-effort on platforms without directory fsync).
-
-    Returns the number of bytes written.
-    """
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "wb") as handle:
-        handle.write(data)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
-    try:  # pragma: no cover - platform-dependent durability upgrade
-        dir_fd = os.open(str(path.parent), os.O_RDONLY)
-    except OSError:
-        return len(data)
-    try:
-        os.fsync(dir_fd)
-    except OSError:  # pragma: no cover - e.g. directories on some FSes
-        pass
-    finally:
-        os.close(dir_fd)
-    return len(data)
 
 
 def _canonical(payload: object) -> str:
@@ -415,7 +387,7 @@ class RunLedger:
         """
         self.journal_dir.mkdir(parents=True, exist_ok=True)
         self.quarantine_dir.mkdir(parents=True, exist_ok=True)
-        self._sweep_temp_files()
+        sweep_temp_files(self.root, self.journal_dir)
 
         if self.manifest_path.exists():
             if not resume:
@@ -441,7 +413,7 @@ class RunLedger:
         # be attributed to any run — quarantine rather than trust them.
         quarantined = 0
         for stray in sorted(self.journal_dir.glob("shard-*.wal")):
-            self._quarantine(stray)
+            quarantine(stray, self.quarantine_dir)
             quarantined += 1
         atomic_write_bytes(
             self.manifest_path,
@@ -462,12 +434,11 @@ class RunLedger:
 
         Called from inside the worker (any backend) the moment the shard
         finishes, *before* the dispatcher can fold the payload — the
-        write-ahead property.  The entry is a JSON header line followed
-        by the format-3 body: u32 store-blob length, the store's
+        write-ahead property.  The entry is one durable record whose
+        format-3 body is the u32 store-blob length, the store's
         canonical binary bytes verbatim, then the zlib-compressed
-        canonical JSON of the remaining payload fields.  The header's
-        sha256 covers the body bytes exactly as written, and the atomic
-        rename means a crash at any point leaves either no entry or a
+        canonical JSON of the remaining payload fields.  The atomic
+        write means a crash at any point leaves either no entry or a
         complete, verifiable one.  The whole body is a deterministic
         function of the payload, so re-journaling a validated payload
         reproduces the original entry byte for byte.
@@ -486,19 +457,37 @@ class RunLedger:
             + bytes(store_blob)
             + zlib.compress(_canonical(meta).encode("utf-8"), JOURNAL_COMPRESSION)
         )
-        header = json.dumps(
-            {
-                "format": LEDGER_FORMAT,
-                "sha256": hashlib.sha256(body).hexdigest(),
-                "shard_index": shard_index,
-                "shard_key": shard_key,
-            },
-            sort_keys=True,
-        )
+        header = {
+            "format": LEDGER_FORMAT,
+            "shard_index": shard_index,
+            "shard_key": shard_key,
+        }
         return atomic_write_bytes(
-            self.entry_path(shard_index),
-            header.encode("utf-8") + b"\n" + body,
+            self.entry_path(shard_index), encode_record(header, body)
         )
+
+    @staticmethod
+    def read_entry(
+        entry_file: Path, expected_keys: Dict[int, str]
+    ) -> Optional[Tuple[int, Dict[str, object]]]:
+        """``(shard index, payload)`` of a replayable journal entry.
+
+        ``None`` when the entry is truncated, fails its checksum, is of
+        another format, names a shard or coverage key the plan
+        (``expected_keys``) does not, or its body does not decode.
+        """
+        header, body = read_record(entry_file)
+        if body is None or header.get("format") != LEDGER_FORMAT:
+            return None
+        index = header.get("shard_index")
+        if not isinstance(index, int) or index not in expected_keys:
+            return None
+        if header.get("shard_key") != expected_keys[index]:
+            return None
+        if entry_file.name != f"shard-{index:05d}.wal":
+            return None
+        payload = _decode_body(body)
+        return None if payload is None else (index, payload)
 
     # ------------------------------------------------------------------
     def _load_manifest(self) -> RunManifest:
@@ -518,101 +507,52 @@ class RunLedger:
         """Validate every journal entry against the stored shard plan.
 
         Returns ``(payloads by shard index, quarantined count, replayed
-        bytes)``.  An entry is quarantined — moved aside and its shard
-        re-executed — when it is truncated, not valid JSON, fails its
-        checksum, or names a shard/coverage the plan does not.
+        bytes)``.  An entry :meth:`read_entry` rejects is quarantined —
+        moved aside and its shard re-executed.
         """
         expected_keys = manifest.coverage_keys()
         payloads: Dict[int, Dict[str, object]] = {}
         quarantined = 0
         replayed_bytes = 0
         for entry_file in sorted(self.journal_dir.glob("shard-*.wal")):
-            entry = self._validate_entry(entry_file, expected_keys)
+            entry = self.read_entry(entry_file, expected_keys)
             if entry is None:
-                self._quarantine(entry_file)
+                quarantine(entry_file, self.quarantine_dir)
                 quarantined += 1
                 continue
-            index = entry["shard_index"]
-            if index in payloads:  # pragma: no cover - duplicate filename
-                self._quarantine(entry_file)
-                quarantined += 1
-                continue
-            payloads[index] = entry["payload"]
+            index, payload = entry
+            payloads[index] = payload
             replayed_bytes += entry_file.stat().st_size
         return payloads, quarantined, replayed_bytes
 
-    @staticmethod
-    def _validate_entry(
-        entry_file: Path, expected_keys: Dict[int, str]
-    ) -> Optional[dict]:
-        try:
-            raw = entry_file.read_bytes()
-        except OSError:
-            return None
-        head, sep, body = raw.partition(b"\n")
-        if not sep:  # no header/body split: truncated inside the header
-            return None
-        try:
-            entry = json.loads(head.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return None
-        if not isinstance(entry, dict) or entry.get("format") != LEDGER_FORMAT:
-            return None
-        index = entry.get("shard_index")
-        if not isinstance(index, int) or index not in expected_keys:
-            return None
-        if entry.get("shard_key") != expected_keys[index]:
-            return None
-        if entry_file.name != f"shard-{index:05d}.wal":
-            return None
-        # The checksum covers the body bytes exactly as they sit on
-        # disk — truncation and bit-flips (in the store blob or the
-        # metadata alike) fail here without any parsing.
-        if hashlib.sha256(body).hexdigest() != entry.get("sha256"):
-            return None
-        # Format-3 body: u32 store-blob length, store bytes verbatim,
-        # compressed metadata JSON.
-        if len(body) < _STORE_LEN.size:
-            return None
-        (store_len,) = _STORE_LEN.unpack_from(body)
-        meta_start = _STORE_LEN.size + store_len
-        if meta_start > len(body):
-            return None
-        try:
-            meta = json.loads(
-                zlib.decompress(body[meta_start:]).decode("utf-8")
-            )
-        except (zlib.error, UnicodeDecodeError, ValueError):
-            return None
-        if not isinstance(meta, dict) or not meta.get("ok"):
-            return None
-        if "store" in meta:  # a store field outside the frame is foreign
-            return None
-        # Format 2+: the in-worker metrics capture must ride with the
-        # store — a payload without it cannot participate in the exact
-        # telemetry fold, so its shard is re-executed instead.
-        if not isinstance(meta.get("metrics"), dict):
-            return None
-        payload = dict(meta)
-        payload["store"] = body[_STORE_LEN.size : meta_start]
-        entry["payload"] = payload
-        return entry
 
-    def _quarantine(self, entry_file: Path) -> None:
-        target = self.quarantine_dir / entry_file.name
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = self.quarantine_dir / f"{entry_file.name}.{suffix}"
-        os.replace(entry_file, target)
+def _decode_body(body: bytes) -> Optional[Dict[str, object]]:
+    """The payload in a checksum-verified format-3 body, or ``None``.
 
-    def _sweep_temp_files(self) -> None:
-        """Remove leftover temp files from writes that died mid-flight."""
-        for tmp in self.journal_dir.glob(".*.tmp"):
-            try:
-                tmp.unlink()
-            except OSError:  # pragma: no cover - raced removal
-                pass
+    Format-3 body: u32 store-blob length, store bytes verbatim,
+    compressed metadata JSON.
+    """
+    if len(body) < _STORE_LEN.size:
+        return None
+    (store_len,) = _STORE_LEN.unpack_from(body)
+    meta_start = _STORE_LEN.size + store_len
+    if meta_start > len(body):
+        return None
+    try:
+        meta = json.loads(zlib.decompress(body[meta_start:]).decode("utf-8"))
+    except (zlib.error, UnicodeDecodeError, ValueError):
+        return None
+    if not isinstance(meta, dict) or not meta.get("ok"):
+        return None
+    if "store" in meta:  # a store field outside the frame is foreign
+        return None
+    # Format 2+: the in-worker metrics capture must ride with the store
+    # — a payload without it cannot participate in the exact telemetry
+    # fold, so its shard is re-executed instead.
+    if not isinstance(meta.get("metrics"), dict):
+        return None
+    meta["store"] = body[_STORE_LEN.size : meta_start]
+    return meta
 
 
 # ----------------------------------------------------------------------

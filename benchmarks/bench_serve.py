@@ -6,7 +6,8 @@ Two measurements, same request mix:
   keep-alive ``http.client`` connection replaying the sampled stream.
   Client-side wall latencies feed a :class:`repro.obs.Histogram`, so
   the reported p50/p99 use the same bucketing as the server's own
-  ``serve.latency_us``.
+  ``serve.latency_us``.  The socket rate must be at least
+  ``MIN_SOCKET_RATIO`` times an in-process replay of the same stream.
 * **In-process** — the deterministic harness the tests use.  Two
   same-seed replays must be digest-identical *and* leave identical
   canonical metrics; the benchmark then reports the in-process
@@ -40,6 +41,10 @@ from repro.vulndb import default_database
 MIX_SEED = 7
 REQUESTS = int(os.environ.get("REPRO_SERVE_REQUESTS", "3000"))
 SOCKET_REQUESTS = int(os.environ.get("REPRO_SERVE_SOCKET_REQUESTS", "800"))
+#: Floor on socket req/s over in-process req/s for the same stream.  A
+#: delayed-ACK stall per response puts the ratio near 0.001; one write
+#: on a no-delay socket puts it near 0.1.
+MIN_SOCKET_RATIO = 0.02
 
 
 def test_serve_socket_replay(benchmark, store):
@@ -92,19 +97,27 @@ def test_serve_socket_replay(benchmark, store):
 
     # The socket stream serves the same bytes the in-process harness
     # replays — the transport cannot change a byte.
-    in_process = LoadGenerator(
-        ServeApp(store, database=database), mix
-    ).run(SOCKET_REQUESTS)
+    generator = LoadGenerator(ServeApp(store, database=database), mix)
+    started = time.perf_counter()
+    in_process = generator.run(SOCKET_REQUESTS)
+    in_process_rate = SOCKET_REQUESTS / (time.perf_counter() - started)
     assert tuple(digests) == in_process.digests
 
-    seconds = holder["seconds"]
+    socket_rate = SOCKET_REQUESTS / holder["seconds"]
+    ratio = socket_rate / in_process_rate
     record(
         benchmark,
         requests=SOCKET_REQUESTS,
-        requests_per_second=SOCKET_REQUESTS / seconds,
+        requests_per_second=socket_rate,
+        in_process_requests_per_second=in_process_rate,
+        socket_to_in_process_ratio=ratio,
         p50_us=latencies.quantile(0.5),
         p99_us=latencies.quantile(0.99),
         mean_us=latencies.mean,
+    )
+    assert ratio >= MIN_SOCKET_RATIO, (
+        f"socket {socket_rate:,.0f} req/s is {ratio:.4f} of in-process "
+        f"{in_process_rate:,.0f} req/s (floor {MIN_SOCKET_RATIO})"
     )
 
 

@@ -94,10 +94,14 @@ class ProfileStore:
 
     Attributes:
         hits: Lookups answered from a predecessor generation.
-        misses: Lookups no predecessor generation could answer.
+        misses: Lookups no predecessor generation could answer,
+            including every lookup when read generations were configured
+            but none of them is valid.
     """
 
-    __slots__ = ("write_dir", "read_dirs", "hits", "misses", "_marked")
+    __slots__ = (
+        "write_dir", "read_dirs", "hits", "misses", "_marked", "_reading"
+    )
 
     def __init__(
         self,
@@ -105,6 +109,7 @@ class ProfileStore:
         read_dirs: Sequence[Union[str, Path]] = (),
     ) -> None:
         self.write_dir = Path(write_dir) if write_dir else None
+        self._reading = bool(read_dirs)
         self.read_dirs: Tuple[Path, ...] = tuple(
             path
             for path in (Path(d) for d in read_dirs)
@@ -151,9 +156,10 @@ class ProfileStore:
 
         A readable, checksum-valid entry whose recorded digest matches
         is a hit; anything else — absent file, torn write, bit flip,
-        foreign format — is a miss.
+        foreign format — is a miss.  A store configured with no read
+        generation at all (a fleet's first tick) counts nothing.
         """
-        if not self.read_dirs:
+        if not self._reading:
             return None
         digest = profile_digest(domain_name, rank, key)
         name = self._entry_name(digest)

@@ -78,9 +78,13 @@ HIT_BYTES_PER_US = 512
 MISS_BASE_US = 400
 MISS_BYTES_PER_US = 64
 
+#: Log-spaced 1-2-5 edges per decade, 10 µs to 10 s: a sub-millisecond
+#: round trip and a 40 ms stall land in different buckets.
 LATENCY_US_EDGES = (
-    30, 60, 90, 150, 250, 400, 600, 900, 1500, 2500,
-    4000, 6500, 10000, 25000, 100000,
+    10, 20, 50, 100, 200, 500,
+    1_000, 2_000, 5_000, 10_000, 20_000, 50_000,
+    100_000, 200_000, 500_000, 1_000_000, 2_000_000, 5_000_000,
+    10_000_000,
 )
 BODY_BYTES_EDGES = (0, 128, 512, 2048, 8192, 32768, 131072, 524288, 2097152)
 

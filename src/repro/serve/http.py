@@ -4,11 +4,26 @@ The handler is a thin adapter — parse the request line, call
 ``app.handle``, write the response verbatim.  All routing, caching,
 validation, and error shaping lives in the app, which is why the test
 suite never needs a socket and the socket path needs almost no tests.
+
+What the socket path does own is how bytes leave and how many
+connections it holds:
+
+* **One write per response on a no-delay socket.**  Status line,
+  headers and body go out in a single ``sendall`` with Nagle off.
+  Headers and body as two sends on a keep-alive connection stall the
+  body behind the client's delayed ACK (~40 ms a request).
+* **Bounded connections.**  A connection idle (or mid-request) for
+  :data:`IDLE_TIMEOUT_S` is closed and its thread exits.  At most
+  :data:`MAX_CONNECTIONS` are served at once; one more gets a canonical
+  JSON ``503`` with ``Connection: close`` straight from the accept loop,
+  without a thread.
 """
 
 from __future__ import annotations
 
+import email.utils
 import signal
+import socket
 import sys
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -17,6 +32,13 @@ from urllib.parse import urlsplit
 from ..errors import ConfigError, ReproError
 from .app import ServeApp
 from .caching import WallServeClock
+from .routes import ServiceUnavailable
+
+#: Seconds a connection may sit idle, or take to send a request, before
+#: the server closes it and frees its thread.
+IDLE_TIMEOUT_S = 30.0
+#: Connections served at once; each holds one handler thread.
+MAX_CONNECTIONS = 64
 
 
 class ServeHandler(BaseHTTPRequestHandler):
@@ -26,6 +48,7 @@ class ServeHandler(BaseHTTPRequestHandler):
     app: ServeApp = None
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    disable_nagle_algorithm = True
 
     def _dispatch(self, method: str) -> None:
         parts = urlsplit(self.path)
@@ -39,9 +62,16 @@ class ServeHandler(BaseHTTPRequestHandler):
         for name, value in response.headers:
             self.send_header(name, value)
         self.send_header("Content-Length", str(len(response.body)))
-        self.end_headers()
-        if method != "HEAD" and response.body:
-            self.wfile.write(response.body)
+        # ``end_headers`` would send the head on its own.  Queue the
+        # blank line and the body behind it instead, so the response
+        # leaves in one write (an HTTP/0.9 reply is the bare body).
+        if self.request_version == "HTTP/0.9":
+            self._headers_buffer = []
+        else:
+            self._headers_buffer.append(b"\r\n")
+        if method != "HEAD":
+            self._headers_buffer.append(response.body)
+        self.flush_headers()
 
     def do_GET(self) -> None:  # noqa: N802 - http.server naming
         self._dispatch("GET")
@@ -62,19 +92,81 @@ class ServeHandler(BaseHTTPRequestHandler):
         pass  # per-request logging lives in the app's instruments
 
 
+class ServeServer(ThreadingHTTPServer):
+    """Thread per connection, at most ``max_connections`` at once.
+
+    A connection past the cap is answered on the accept loop and
+    closed: no thread is spawned for it, and nothing on it can block
+    the loop (the socket is non-blocking for the refusal).
+    """
+
+    daemon_threads = True
+
+    def __init__(self, address, handler, max_connections: int) -> None:
+        self.max_connections = max_connections
+        self._slots = threading.BoundedSemaphore(max_connections)
+        super().__init__(address, handler)
+
+    def process_request(self, request, client_address) -> None:
+        if not self._slots.acquire(blocking=False):
+            self._refuse(request)
+            return
+        try:
+            super().process_request(request, client_address)
+        except Exception:
+            self._slots.release()
+            raise
+
+    def process_request_thread(self, request, client_address) -> None:
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self._slots.release()
+
+    def _refuse(self, request) -> None:
+        handler = self.RequestHandlerClass
+        exc = ServiceUnavailable(
+            f"connection limit ({self.max_connections}) reached; retry later"
+        )
+        response = handler.app._error_response(exc, None)
+        head = [
+            f"HTTP/1.1 503 {handler.responses[503][0]}",
+            f"Server: {handler.server_version} {handler.sys_version}",
+            f"Date: {email.utils.formatdate(usegmt=True)}",
+            *(f"{name}: {value}" for name, value in response.headers),
+            f"Content-Length: {len(response.body)}",
+            "Connection: close",
+        ]
+        wire = ("\r\n".join(head) + "\r\n\r\n").encode("latin-1")
+        request.setblocking(False)
+        try:
+            request.sendall(wire + response.body)
+            request.shutdown(socket.SHUT_WR)
+            # Read what of the request has arrived: closing over unread
+            # bytes resets the connection, which can drop the 503.
+            request.recv(65536)
+        except OSError:
+            pass
+        self.close_request(request)
+
+
 def make_server(
     app: ServeApp, host: str = "127.0.0.1", port: int = 0
-) -> ThreadingHTTPServer:
+) -> ServeServer:
     """A ready-to-run threaded server bound to ``(host, port)``.
 
     Port 0 binds an ephemeral port (read it back from
     ``server.server_address``).  The app's internal lock serializes
     request handling, so the thread-per-connection model is safe.
+    :data:`IDLE_TIMEOUT_S` (the handler's socket ``timeout``) and
+    :data:`MAX_CONNECTIONS` are read here, once per server.
     """
-    handler = type("BoundServeHandler", (ServeHandler,), {"app": app})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
+    handler = type(
+        "BoundServeHandler",
+        (ServeHandler,),
+        {"app": app, "timeout": IDLE_TIMEOUT_S},
+    )
+    return ServeServer((host, port), handler, MAX_CONNECTIONS)
 
 
 def run_server(options) -> int:

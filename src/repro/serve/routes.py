@@ -45,6 +45,10 @@ class MethodNotAllowed(HttpError):
     status = 405
 
 
+class ServiceUnavailable(HttpError):
+    status = 503
+
+
 @dataclasses.dataclass(frozen=True)
 class Route:
     """One endpoint: its path shape, cacheability, and query surface.

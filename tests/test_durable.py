@@ -219,6 +219,24 @@ class TestProfileStoreCorruption:
         assert instruments.counter("profile_store.hits") == 0
         assert instruments.counter("profile_store.misses") == 1
 
+    def test_lone_foreign_generation_counts_a_miss(self, tmp_path):
+        # Configured read generations that are all invalid still make
+        # the lookup a miss, not an uncounted no-op.
+        foreign = _generation(tmp_path, "gen-001")
+        (foreign / MARKER_NAME).write_text(
+            json.dumps({"format": PROFILE_STORE_FORMAT + 1})
+        )
+        profile, instruments = _lookup([foreign])
+        assert profile is None
+        assert instruments.counter("profile_store.hits") == 0
+        assert instruments.counter("profile_store.misses") == 1
+
+    def test_no_read_generation_counts_nothing(self, tmp_path):
+        profile, instruments = _lookup([])
+        assert profile is None
+        assert instruments.counter("profile_store.hits") == 0
+        assert instruments.counter("profile_store.misses") == 0
+
 
 # ----------------------------------------------------------------------
 # Queue status and ledger open: validate and sweep like a resume does

@@ -14,10 +14,13 @@ from __future__ import annotations
 import hashlib
 import http.client
 import json
+import socket
 import threading
+import time
 
 import pytest
 
+import repro.serve.http as serve_http
 from repro.analysis import vulnerable
 from repro.errors import ConfigError, ServeError
 from repro.obs import validate_serve_metrics
@@ -32,6 +35,7 @@ from repro.serve import (
     make_etag,
     make_server,
 )
+from repro.serve.app import CONTENT_TYPE
 from repro.serve.caching import CACHE_EXPIRED, CACHE_HIT, CACHE_MISS
 from repro.vulndb import MatchMode
 
@@ -455,6 +459,155 @@ class TestHttpServer:
             assert rejected.getheader("Allow") == "GET"
         finally:
             conn.close()
+
+    @pytest.fixture()
+    def start_server(self, serve_app):
+        """Start servers after a test patches the module constants.
+
+        ``start_server(mixin)`` puts ``mixin`` in front of the bound
+        handler class, so a test can observe the handler's socket.
+        """
+        servers = []
+
+        def start(mixin=None):
+            server = make_server(serve_app)
+            if mixin is not None:
+                server.RequestHandlerClass = type(
+                    "Observed", (mixin, server.RequestHandlerClass), {}
+                )
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            servers.append(server)
+            return server
+
+        yield start
+        for server in servers:
+            server.shutdown()
+            server.server_close()
+
+    def test_one_write_per_response_on_a_no_delay_socket(self, start_server):
+        # Head and body sent as two writes with Nagle on stall the body
+        # behind the client's delayed ACK; count writes, not time.
+        writes, nodelay = [], []
+
+        class CountWrites:
+            def setup(self):
+                self.request = _WriteCounter(self.request, writes)
+                super().setup()
+                nodelay.append(
+                    self.connection.getsockopt(
+                        socket.IPPROTO_TCP, socket.TCP_NODELAY
+                    )
+                )
+
+        server = start_server(CountWrites)
+        conn = http.client.HTTPConnection(*server.server_address[:2])
+        try:
+            ok = _exchange(conn, "GET", "/healthz")
+            assert ok.status == 200 and ok.body
+            assert len(writes) == 1 and writes[0].endswith(ok.body)
+
+            etag = ok.getheader("ETag")
+            revalidated = _exchange(
+                conn, "GET", "/healthz", {"If-None-Match": etag}
+            )
+            assert revalidated.status == 304
+            assert len(writes) == 2 and writes[1].endswith(b"\r\n\r\n")
+
+            rejected = _exchange(conn, "POST", "/report")
+            assert rejected.status == 405 and rejected.body
+            assert len(writes) == 3 and writes[2].endswith(rejected.body)
+        finally:
+            conn.close()
+        assert nodelay == [1]
+
+    def test_idle_connection_is_closed_and_its_thread_exits(
+        self, start_server, monkeypatch
+    ):
+        monkeypatch.setattr(serve_http, "IDLE_TIMEOUT_S", 0.2)
+        threads = []
+
+        class TrackThread:
+            def setup(self):
+                threads.append(threading.current_thread())
+                super().setup()
+
+        server = start_server(TrackThread)
+        conn = http.client.HTTPConnection(*server.server_address[:2])
+        try:
+            assert _exchange(conn, "GET", "/healthz").status == 200
+            # Keep-alive, then silence: the server closes its end.
+            conn.sock.settimeout(10)
+            assert conn.sock.recv(1) == b""
+        finally:
+            conn.close()
+        (thread,) = threads
+        thread.join(10)
+        assert not thread.is_alive()
+
+    def test_connection_past_the_cap_gets_a_typed_503(
+        self, start_server, monkeypatch
+    ):
+        monkeypatch.setattr(serve_http, "MAX_CONNECTIONS", 2)
+        server = start_server()
+        address = server.server_address[:2]
+        held = [http.client.HTTPConnection(*address) for _ in range(2)]
+        extra = http.client.HTTPConnection(*address)
+        try:
+            for conn in held:
+                assert _exchange(conn, "GET", "/healthz").status == 200
+
+            refused = _exchange(extra, "GET", "/healthz")
+            assert refused.status == 503
+            assert refused.getheader("Connection") == "close"
+            assert refused.getheader("Content-Type") == CONTENT_TYPE
+            assert refused.getheader("Cache-Control") == "no-store"
+            assert refused.body == canonical(
+                {
+                    "error": {
+                        "status": 503,
+                        "message": "connection limit (2) reached; retry later",
+                    }
+                }
+            )
+
+            for conn in held:
+                assert _exchange(conn, "GET", "/healthz").status == 200
+
+            # A closed connection frees its slot once its thread ends.
+            held.pop().close()
+            for _ in range(200):
+                retry = http.client.HTTPConnection(*address)
+                held.append(retry)
+                if _exchange(retry, "GET", "/healthz").status == 200:
+                    break
+                time.sleep(0.05)
+            else:
+                pytest.fail("a freed connection slot was never reused")
+        finally:
+            for conn in held + [extra]:
+                conn.close()
+
+
+class _WriteCounter:
+    """Socket proxy that records every payload written through it."""
+
+    def __init__(self, sock, writes):
+        self._sock, self._writes = sock, writes
+
+    def sendall(self, data, *flags):
+        self._writes.append(bytes(data))
+        return self._sock.sendall(data, *flags)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+def _exchange(conn, method, target, headers=None):
+    """One request/response on ``conn``; the body is read into ``.body``."""
+    conn.request(method, target, headers=headers or {})
+    response = conn.getresponse()
+    response.body = response.read()
+    return response
 
 
 class TestServeOptions:

@@ -396,17 +396,18 @@ class IncrementalConfig:
     produce bit-identical stores to cache-off runs (enforced by tests),
     so the only reason to disable it is measurement of the cache itself.
 
-    A second, cross-run layer — the content-addressed
-    :class:`~repro.crawler.profilestore.ProfileStore` — lets a fleet of
-    chained runs share rendered profiles: each run writes its profiles
-    into its own generation directory and reads from the immutable
-    generations of its predecessors (manifest mode only; see the module
-    docstring for why that keeps canonical metrics deterministic).
+    The same :class:`~repro.crawler.cache.ProfileCache` has an optional
+    cross-run generation tier that lets a fleet of chained runs share
+    rendered profiles: each run writes its profiles into its own
+    generation directory and reads from the immutable generations of
+    its predecessors (manifest mode only; see :mod:`repro.crawler.cache`
+    for why that keeps canonical metrics deterministic).
 
     Attributes:
-        profile_cache: Reuse profiles across unchanged weeks.
+        profile_cache: The memory tier: reuse profiles across
+            unchanged weeks within a shard.
         profile_store_read: Predecessor generation directories to
-            consult on in-run cache misses, most recent first.
+            consult on memory-tier misses, most recent first.
         profile_store_write: This run's own generation directory for
             newly rendered profiles (``None`` disables writes).
     """

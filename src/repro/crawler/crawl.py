@@ -41,7 +41,6 @@ from ..webgen.ecosystem import WebEcosystem
 from ..webgen.html import script_url
 from ..webgen.site import SiteManifest
 from .cache import ProfileCache, site_state_key
-from .profilestore import ProfileStore
 from .fetch import Fetcher, FetchOutcome
 from .filtering import AccessibilityFilter, FilterReport
 from .store import ObservationStore
@@ -157,26 +156,6 @@ class CrawlReport:
     def degraded(self) -> bool:
         """Whether any part of the crawl grid was dropped."""
         return self.dropped_shards > 0
-
-
-def _shard_outcome_fields(instruments: Instruments, cells: int) -> dict:
-    """The outcome facts a completed shard's span event carries.
-
-    Integer facts only: they feed the canonical ``planner`` cost
-    profile (``cells``/``pages``/``failures``/``cache_misses``/
-    ``scripts`` are the cost-model inputs), so they must be exactly
-    deterministic — wall time travels separately as the event's
-    non-canonical ``duration_us``.
-    """
-    scripts = instruments.histograms.get("page.scripts")
-    return {
-        "pages": instruments.counter("crawl.pages"),
-        "failures": instruments.counter("crawl.fetch_failures"),
-        "cache_hits": instruments.counter("cache.hits"),
-        "cache_misses": instruments.counter("cache.misses"),
-        "cells": int(cells),
-        "scripts": scripts.total if scripts is not None else 0,
-    }
 
 
 def profile_from_manifest(
@@ -458,27 +437,20 @@ class Crawler:
             started = _time.perf_counter_ns()
             with instruments.span("dispatch"):
                 self.crawl_block(target_weeks, domains, instruments=instruments)
-            # Mirror the worker path's shard accounting exactly, so a
-            # direct serial run exports the identical canonical metrics
-            # document a one-shard dispatched run would.
-            from ..runtime.worker import shard_coverage_key
+            # The worker path's shard record, so a direct serial run
+            # exports the identical canonical metrics document a
+            # one-shard dispatched run would.
+            from ..runtime.worker import record_shard_ok
 
-            instruments.event(
-                "shard",
-                status="ok",
+            record_shard_ok(
+                instruments,
+                tuple(w.ordinal for w in target_weeks),
+                tuple(d.name for d in domains),
                 shard_index=0,
-                shard_key=shard_coverage_key(
-                    tuple(w.ordinal for w in target_weeks),
-                    tuple(d.name for d in domains),
-                ),
                 attempt=0,
-                fields=_shard_outcome_fields(
-                    instruments, len(target_weeks) * len(domains)
-                ),
                 backend="serial",
-                duration_us=(_time.perf_counter_ns() - started) // 1000,
+                started_ns=started,
             )
-            instruments.inc("shards.completed")
             for name in (
                 "dispatch.retries",
                 "dispatch.backoff_us",
@@ -520,14 +492,18 @@ class Crawler:
 
         This is the shard primitive: no filtering, no dispatch — just
         the observation loop.  A fresh :class:`ProfileCache` is created
-        per call, so cache reuse never crosses a shard boundary and the
-        runtime determinism contract (bit-identical stores on every
-        backend) is preserved by construction.
+        per call, so its memory tier never crosses a shard boundary and
+        the runtime determinism contract (bit-identical stores on every
+        backend) is preserved by construction.  In manifest mode the
+        cache also gets the configured generation tier (predecessor
+        generations to read, this run's to write); both modes then make
+        the same ``lookup`` → build → ``store`` pass per page.
 
         Returns the block's :class:`~repro.obs.Instruments` (the one
         passed in, or a fresh one honouring the scenario's observability
         config): ``crawl.pages``/``crawl.fetch_failures``/``cache.*``
-        counters always, plus per-page histograms and fetch/fingerprint
+        counters always, ``profile_store.*`` when a generation tier is
+        configured, plus per-page histograms and fetch/fingerprint
         instrumentation when detailed metrics are enabled.
         """
         ecosystem = self.ecosystem
@@ -542,15 +518,15 @@ class Crawler:
         if self.engine is not None:
             self.engine.instruments = detail
         threshold = ecosystem.config.accessibility.empty_page_threshold
-        cache = ProfileCache(enabled=self.incremental.profile_cache)
-        # Cross-run generation store (manifest mode only): consulted on
-        # in-run cache misses, fed with every profile this block renders.
-        # Reads touch only immutable predecessor generations, so lookup
-        # results — and the profile_store.* counters — are independent
-        # of shard execution order, backend, and worker count.
-        pstore = None
-        if self.mode == "manifest":
-            pstore = ProfileStore.from_incremental(self.incremental)
+        # The generation tier is manifest-mode only: see repro.crawler.cache
+        # for why that keeps canonical metrics deterministic.
+        incremental = self.incremental
+        durable = self.mode == "manifest"
+        cache = ProfileCache(
+            enabled=incremental.profile_cache,
+            write_dir=incremental.profile_store_write if durable else None,
+            read_dirs=incremental.profile_store_read if durable else (),
+        )
         for week in weeks:
             ecosystem.set_week(week.ordinal)
             for domain in domains:
@@ -559,36 +535,25 @@ class Crawler:
                         ins.inc("crawl.fetch_failures")
                         continue
                     manifest = ecosystem.manifest(domain, week.ordinal)
-                    if cache.enabled or pstore is not None:
+                    key = profile = None
+                    if cache.active:
                         key = site_state_key(manifest)
-                        profile = cache.lookup(domain.rank, key)
-                        if profile is None:
-                            if pstore is not None:
-                                profile = pstore.lookup(
-                                    domain.name, domain.rank, key
-                                )
-                            if profile is None:
-                                profile = profile_from_manifest(
-                                    manifest, self.cdn_catalog
-                                )
-                            if pstore is not None:
-                                pstore.store(
-                                    domain.name, domain.rank, key, profile
-                                )
-                            cache.store(domain.rank, key, profile)
-                    else:
+                        profile = cache.lookup(domain, key)
+                    if profile is None:
                         profile = profile_from_manifest(manifest, self.cdn_catalog)
+                        if key is not None:
+                            cache.store(domain, key, profile)
                 else:
                     key = None
                     if (
-                        cache.enabled
+                        cache.active
                         and domain.reachability is not Reachability.ANTIBOT
                         and domain.alive_at(week.ordinal)
                     ):
                         # Content-address the page before rendering it.
                         manifest = ecosystem.manifest(domain, week.ordinal)
                         key = site_state_key(manifest)
-                        cached = cache.lookup(domain.rank, key)
+                        cached = cache.lookup(domain, key)
                         if cached is not None:
                             # Skip render + fingerprint, but draw this
                             # week's failure schedule exactly as the
@@ -608,12 +573,10 @@ class Crawler:
                         result.text, f"https://{domain.name}/"
                     )
                     if key is not None:
-                        cache.store(domain.rank, key, profile)
+                        cache.store(domain, key, profile)
                 self.store.ingest(domain, week, profile)
                 self._observe_page(ins, profile)
         cache.record(ins)
-        if pstore is not None:
-            pstore.record(ins)
         return ins
 
     @staticmethod

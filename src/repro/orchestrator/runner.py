@@ -10,8 +10,8 @@ byte-identical outputs:
   tick's week window.  The run ledger lives in the queue's
   ``checkpoints/<job>/`` directory with ``resume=True``, so a killed
   attempt replays its journal instead of restarting; rendered profiles
-  flow through the cross-run
-  :class:`~repro.crawler.profilestore.ProfileStore` (read: predecessor
+  flow through the generation tier of the crawl's
+  :class:`~repro.crawler.cache.ProfileCache` (read: predecessor
   ticks' generations, write: this tick's).  Artifacts: ``store.bin``
   (canonical binary store) + ``metrics.json`` (canonical metrics
   document).

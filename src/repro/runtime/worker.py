@@ -57,6 +57,47 @@ def shard_coverage_key(
     )
 
 
+def record_shard_ok(
+    instruments,
+    week_ordinals: Tuple[int, ...],
+    domain_names: Tuple[str, ...],
+    shard_index: int,
+    attempt: int,
+    backend: str,
+    started_ns: int,
+) -> None:
+    """Record one completed shard: its ``"shard"`` ok event and count.
+
+    The event records which attempt finally completed the shard: the
+    dispatcher derives canonical retry/backoff totals from it, so a
+    replayed shard reports the attempts it originally cost.  Its fields
+    are integer facts only — they feed the canonical ``planner`` cost
+    profile (``cells``/``pages``/``failures``/``cache_misses``/
+    ``scripts`` are the cost-model inputs), so they must be exactly
+    deterministic.  The wall duration since ``started_ns`` rides along
+    as the event's non-canonical ``duration_us``.
+    """
+    scripts = instruments.histograms.get("page.scripts")
+    instruments.event(
+        "shard",
+        status="ok",
+        shard_index=shard_index,
+        shard_key=shard_coverage_key(week_ordinals, domain_names),
+        attempt=attempt,
+        fields={
+            "pages": instruments.counter("crawl.pages"),
+            "failures": instruments.counter("crawl.fetch_failures"),
+            "cache_hits": instruments.counter("cache.hits"),
+            "cache_misses": instruments.counter("cache.misses"),
+            "cells": len(week_ordinals) * len(domain_names),
+            "scripts": scripts.total if scripts is not None else 0,
+        },
+        backend=backend,
+        duration_us=(time.perf_counter_ns() - started_ns) // 1000,
+    )
+    instruments.inc("shards.completed")
+
+
 @dataclasses.dataclass(frozen=True)
 class ShardTask:
     """One shard, described portably enough to cross a process boundary.
@@ -211,26 +252,15 @@ def execute_shard(task: ShardTask) -> Dict[str, object]:
             raise RuntimeError(f"shard references unknown domain {name!r}")
         domains.append(domain)
     instruments = crawler.crawl_block(weeks, domains)
-    # The span event records which attempt finally completed the shard:
-    # the dispatcher derives canonical retry/backoff totals from it, so
-    # a replayed shard reports the attempts it originally cost.  The
-    # integer fields feed the canonical cost profile; the wall duration
-    # rides along as a diagnostic (benchmark spread), never canonical.
-    from ..crawler.crawl import _shard_outcome_fields
-
-    instruments.event(
-        "shard",
-        status="ok",
+    record_shard_ok(
+        instruments,
+        task.week_ordinals,
+        task.domain_names,
         shard_index=task.shard_index,
-        shard_key=task.shard_key(),
         attempt=task.attempt,
-        fields=_shard_outcome_fields(
-            instruments, len(task.week_ordinals) * len(task.domain_names)
-        ),
         backend=task.backend_name,
-        duration_us=(time.perf_counter_ns() - started) // 1000,
+        started_ns=started,
     )
-    instruments.inc("shards.completed")
     return {
         "ok": True,
         "store": store_to_bytes(store),

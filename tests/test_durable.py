@@ -1,7 +1,7 @@
 """Durable records: pinned on-disk bytes, corruption handling, primitives.
 
-The run ledger's journal, the job queue and the cross-run profile store
-share one checksummed record frame (a JSON header line holding the
+The run ledger's journal, the job queue and the profile cache's
+generation tier share one checksummed record frame (a JSON header line holding the
 body's sha256, a newline, the body).  Checkpoint and queue directories
 outlive the process that wrote them, so the bytes each store writes are
 pinned here: a resumed run must read what an earlier build wrote.
@@ -16,10 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.crawler.profilestore import (
+from repro.crawler.cache import (
     MARKER_NAME,
     PROFILE_STORE_FORMAT,
-    ProfileStore,
+    ProfileCache,
     profile_digest,
 )
 from repro.fingerprint import PageProfile
@@ -27,6 +27,7 @@ from repro.obs import Instruments
 from repro.orchestrator import FleetPlan, JobQueue
 from repro.orchestrator.queue import PENDING, JobRecord
 from repro.runtime.ledger import LEDGER_FORMAT, RunLedger
+from repro.webgen.domains import Domain, Reachability
 
 #: A journaled shard payload.  The store blob is opaque to the journal,
 #: so any bytes do; the metadata is what ``execute_shard`` carries.
@@ -57,6 +58,7 @@ _PROFILE = PageProfile(
     external_script_count=1,
 )
 _KEY = ("5.8.1", ("jquery",), (), frozenset({"javascript", "css"}), None, ())
+_DOMAIN = Domain(rank=17, name="www.example.com", reachability=Reachability.STABLE)
 
 
 def _sha256(path: Path) -> str:
@@ -105,9 +107,7 @@ class TestGoldenBytes:
 
     def test_profile_entry_header_and_round_trip(self, tmp_path):
         generation = tmp_path / "gen-000"
-        ProfileStore(write_dir=generation).store(
-            "www.example.com", 17, _KEY, _PROFILE
-        )
+        ProfileCache(write_dir=generation).store(_DOMAIN, _KEY, _PROFILE)
         digest = profile_digest("www.example.com", 17, _KEY)
         assert digest == (
             "9b81e2d5eb8690838aeab96719f9231629c5a18a58c8762d9e658e88f0b3c589"
@@ -124,20 +124,18 @@ class TestGoldenBytes:
             sort_keys=True,
         ).encode("utf-8")
         assert (generation / MARKER_NAME).read_bytes() == b'{"format": 1}'
-        reader = ProfileStore(read_dirs=[generation])
-        assert reader.lookup("www.example.com", 17, _KEY) == _PROFILE
-        assert (reader.hits, reader.misses) == (1, 0)
+        reader = ProfileCache(read_dirs=[generation])
+        assert reader.lookup(_DOMAIN, _KEY) == _PROFILE
+        assert (reader.durable_hits, reader.durable_misses) == (1, 0)
 
 
 # ----------------------------------------------------------------------
-# ProfileStore: every damaged entry is a counted miss, never an error
+# Generation tier: every damaged entry is a counted miss, never an error
 # ----------------------------------------------------------------------
 def _generation(root: Path, name: str) -> Path:
     """A generation directory holding one intact entry for ``_KEY``."""
     generation = root / name
-    ProfileStore(write_dir=generation).store(
-        "www.example.com", 17, _KEY, _PROFILE
-    )
+    ProfileCache(write_dir=generation).store(_DOMAIN, _KEY, _PROFILE)
     return generation
 
 
@@ -160,10 +158,10 @@ def _flip_body_byte(path: Path) -> None:
 
 
 def _lookup(read_dirs):
-    store = ProfileStore(read_dirs=read_dirs)
-    profile = store.lookup("www.example.com", 17, _KEY)
+    cache = ProfileCache(read_dirs=read_dirs)
+    profile = cache.lookup(_DOMAIN, _KEY)
     instruments = Instruments()
-    store.record(instruments)
+    cache.record(instruments)
     return profile, instruments
 
 
@@ -213,7 +211,8 @@ class TestProfileStoreCorruption:
             json.dumps({"format": PROFILE_STORE_FORMAT + 1})
         )
         empty = tmp_path / "gen-000"
-        ProfileStore(write_dir=empty).store("other.example", 3, _KEY, _PROFILE)
+        other = Domain(rank=3, name="other.example", reachability=Reachability.STABLE)
+        ProfileCache(write_dir=empty).store(other, _KEY, _PROFILE)
         profile, instruments = _lookup([foreign, empty])
         assert profile is None
         assert instruments.counter("profile_store.hits") == 0
@@ -236,6 +235,126 @@ class TestProfileStoreCorruption:
         assert profile is None
         assert instruments.counter("profile_store.hits") == 0
         assert instruments.counter("profile_store.misses") == 0
+
+
+# ----------------------------------------------------------------------
+# Tier order: memory, then read generations, then the caller builds
+# ----------------------------------------------------------------------
+_TIER_COUNTERS = (
+    "cache.hits", "cache.misses", "profile_store.hits", "profile_store.misses"
+)
+
+
+def _counters(cache: ProfileCache) -> dict:
+    instruments = Instruments()
+    cache.record(instruments)
+    return {name: instruments.counters.get(name) for name in _TIER_COUNTERS}
+
+
+class TestTierOrder:
+    def test_memory_hit_reads_no_generation(self, tmp_path, monkeypatch):
+        generation = _generation(tmp_path, "gen-000")
+        cache = ProfileCache(read_dirs=[generation])
+        cache.store(_DOMAIN, _KEY, _PROFILE)
+
+        def no_read(path, digest):
+            raise AssertionError(f"generation read {path}")
+
+        monkeypatch.setattr("repro.crawler.cache._read_entry", no_read)
+        assert cache.lookup(_DOMAIN, _KEY) == _PROFILE
+        assert _counters(cache) == {
+            "cache.hits": 1,
+            "cache.misses": 0,
+            "profile_store.hits": 0,
+            "profile_store.misses": 0,
+        }
+
+    def test_generation_hit_fills_memory_and_writes_through(self, tmp_path):
+        source = _generation(tmp_path, "gen-000")
+        target = tmp_path / "gen-001"
+        cache = ProfileCache(write_dir=target, read_dirs=[source])
+        assert cache.lookup(_DOMAIN, _KEY) == _PROFILE
+        assert _counters(cache) == {
+            "cache.hits": 0,
+            "cache.misses": 1,
+            "profile_store.hits": 1,
+            "profile_store.misses": 0,
+        }
+        assert _entry(target).read_bytes() == _entry(source).read_bytes()
+        assert (target / MARKER_NAME).read_bytes() == b'{"format": 1}'
+        # Promoted into memory: the next lookup never reaches a generation.
+        _entry(source).unlink()
+        assert cache.lookup(_DOMAIN, _KEY) == _PROFILE
+        assert _counters(cache)["cache.hits"] == 1
+
+    def test_disabled_memory_still_consults_generations(self, tmp_path):
+        generation = _generation(tmp_path, "gen-000")
+        cache = ProfileCache(enabled=False, read_dirs=[generation])
+        assert cache.active
+        assert cache.lookup(_DOMAIN, _KEY) == _PROFILE
+        assert cache.lookup(_DOMAIN, _KEY) == _PROFILE
+        assert _counters(cache) == {
+            "cache.hits": 0,
+            "cache.misses": 0,
+            "profile_store.hits": 2,
+            "profile_store.misses": 0,
+        }
+
+    def test_miss_then_store_hashes_the_key_once(self, tmp_path, monkeypatch):
+        import repro.crawler.cache as cache_module
+
+        calls = []
+        digest = cache_module.profile_digest
+
+        def counting(*args):
+            calls.append(args)
+            return digest(*args)
+
+        monkeypatch.setattr(cache_module, "profile_digest", counting)
+        target = tmp_path / "gen-001"
+        cache = ProfileCache(write_dir=target, read_dirs=[tmp_path / "gen-000"])
+        assert cache.lookup(_DOMAIN, _KEY) is None
+        cache.store(_DOMAIN, _KEY, _PROFILE)
+        assert len(calls) == 1
+        assert _entry(target).exists()
+        assert _counters(cache)["profile_store.misses"] == 1
+
+    def test_full_mode_crawl_block_has_no_generation_tier(self, tmp_path):
+        from repro import ScenarioConfig
+        from repro.config import IncrementalConfig
+        from repro.crawler import Crawler
+        from repro.webgen import WebEcosystem
+
+        config = ScenarioConfig(population=30, seed=5)
+        weeks = config.calendar.weeks[:2]
+        ecosystem = WebEcosystem(config)
+        manifest = Crawler(
+            ecosystem,
+            mode="manifest",
+            apply_filter=False,
+            incremental=IncrementalConfig(
+                profile_store_write=str(tmp_path / "gen-000")
+            ),
+        )
+        written = manifest.crawl_block(weeks, list(ecosystem.population))
+        assert written.counters["profile_store.misses"] == 0
+        assert any((tmp_path / "gen-000").glob("*.profile"))
+
+        full = Crawler(
+            WebEcosystem(config),
+            mode="full",
+            apply_filter=False,
+            incremental=IncrementalConfig(
+                profile_store_read=(str(tmp_path / "gen-000"),),
+                profile_store_write=str(tmp_path / "gen-001"),
+            ),
+        )
+        instruments = full.crawl_block(weeks, list(full.ecosystem.population))
+        assert not (tmp_path / "gen-001").exists()
+        assert instruments.counter("cache.hits") > 0
+        assert not any(
+            name.startswith("profile_store.") for name in instruments.counters
+        )
 
 
 # ----------------------------------------------------------------------
